@@ -129,7 +129,7 @@ int Reactor::poll(long timeout_us) {
   if (timeout_us > 0) ms = static_cast<int>((timeout_us + 999) / 1000);
   const int n = ::epoll_wait(epfd_, evbuf_.data(), batch_, ms);
   if (n <= 0) return 0;  // timeout, EINTR: the caller's loop retries
-  ++w_.stats().io_wakeups;
+  w_.stats().io_wakeups.add();
   if (stu::metrics_enabled()) {
     w_.metrics().io_ready_batch.record(static_cast<std::uint64_t>(n));
   }
@@ -241,7 +241,7 @@ void Reactor::deliver(FdState::Waiter* w, std::uint32_t events) {
   hb::access(&w->events, stu::kSchedAccessWrite, hb::kSiteFdWaiter);
   w->events = events;
   sub_waiter();
-  ++w_.stats().io_events;
+  w_.stats().io_events.add();
   if (stu::metrics_enabled() && w->t_arm != 0) {
     const std::uint64_t now = stu::trace_clock();
     if (now > w->t_arm) w_.metrics().io_wait.record(now - w->t_arm);
@@ -285,7 +285,7 @@ int Reactor::expire_timers() {
   while (!timers_.empty() && timers_.top().deadline_ns <= now) {
     FdState::Waiter* w = timers_.top().w;
     timers_.pop();
-    ++w_.stats().io_timers;
+    w_.stats().io_timers.add();
     w_.trace(stu::kTraceIoTimer, reinterpret_cast<std::uintptr_t>(w), 0);
     resume(&w->cont);
     ++n;
@@ -326,7 +326,7 @@ bool wait_on_fd(const std::shared_ptr<FdState>& fs, bool dir_write) {
       // migrated (stolen continuation), so its fd comes along.
       const unsigned from = fs->armed->worker().id();
       fs->armed->forget(*fs);
-      ++w->stats().io_migrations;
+      w->stats().io_migrations.add();
       w->trace(stu::kTraceIoMigrate, static_cast<std::uint64_t>(fs->fd()), from);
     } else {
       // The other direction is parked in the old reactor; arming here
@@ -399,7 +399,7 @@ void close_fd_state(const std::shared_ptr<FdState>& fs) {
     armed->sub_waiter();
     Worker* self = tl_worker;
     assert(self != nullptr && "close with suspended waiters must run on a worker");
-    ++self->stats().io_cancels;
+    self->stats().io_cancels.add();
     self->trace(stu::kTraceIoCancel, reinterpret_cast<std::uintptr_t>(w),
                 static_cast<std::uint64_t>(fs->fd()));
     resume(&w->cont);

@@ -116,8 +116,8 @@ void Monitor::loop() {
                                    cfg_.snapshot_period_ms > 0 ? cfg_.snapshot_period_ms : 0);
 
   while (!stop_.load(std::memory_order_acquire)) {
-    // Heartbeats and stats are plain single-writer fields; workers only
-    // publish their atomic mirrors when asked.  Request before sleeping
+    // Heartbeats are plain single-writer fields; workers only publish
+    // their atomic mirrors when asked.  Request before sleeping
     // so a healthy worker has a full poll period to reach a poll point:
     // a wedged one never publishes, its mirror freezes, the stall fires.
     rt_.request_sample_all();

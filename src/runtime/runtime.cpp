@@ -8,6 +8,7 @@
 #include <mutex>
 #include <semaphore>
 #include <sstream>
+#include <string_view>
 
 #if defined(__linux__)
 #include <linux/futex.h>
@@ -89,6 +90,33 @@ void crash_dump_runtimes() {
   }
 }
 
+/// RuntimeStats as (key, value) rows in table order: the ST_METRICS
+/// "counters" object and the ST_STATS runtime row.
+std::vector<stu::CounterRow> counter_rows(const RuntimeStats& s) {
+#define ST_ROW(field, key, ...) {#key, s.field},
+  return {ST_RUNTIME_COUNTERS(ST_ROW, ST_ROW)};
+#undef ST_ROW
+}
+
+/// The per-worker histograms, merged over workers by both renders.  A
+/// "ns" series records trace_clock ticks; ST_STATS names it `<name>_ns`.
+struct HistogramRow {
+  const char* name;
+  const char* unit;
+  stu::LogHistogram WorkerMetrics::*h;
+  bool in_ns() const { return std::string_view(unit) == "ns"; }
+  double scale() const { return in_ns() ? stu::trace_ns_per_tick() : 1.0; }
+};
+constexpr HistogramRow kHistograms[] = {
+    {"steal_latency", "ns", &WorkerMetrics::steal_latency},
+    {"steal_cancel_latency", "ns", &WorkerMetrics::steal_cancel_latency},
+    {"suspend_to_restart", "ns", &WorkerMetrics::suspend_to_restart},
+    {"fork_deque_depth", "tasks", &WorkerMetrics::deque_depth},
+    {"steal_batch_size", "tasks", &WorkerMetrics::steal_batch_size},
+    {"io_wait", "ns", &WorkerMetrics::io_wait},
+    {"io_ready_batch", "events", &WorkerMetrics::io_ready_batch},
+};
+
 /// Consume a continuation's suspension timestamp into the dispatching
 /// worker's suspend->restart latency histogram.
 inline void record_resume_latency(Worker* w, Continuation* c) noexcept {
@@ -110,7 +138,7 @@ void child_entry(void* raw_msg, void* arg) {
   s->invoke(s->closure);
   // Completed.  tl_worker is re-read: the computation may have migrated.
   Worker* w = tl_worker;
-  ++w->stats().tasks_completed;
+  w->stats().tasks_completed.add();
   w->trace(stu::kTraceTaskComplete, reinterpret_cast<std::uintptr_t>(s));
   // The stacklet must outlive this stack; the destination context releases
   // it (the msg lives on this dying stack, which stays mapped and
@@ -152,11 +180,11 @@ namespace detail {
 
 void fork_impl(void (*invoke)(void*), void* closure, Stacklet* s) {
   Worker* w = tl_worker;
-  // The paper's "a fork costs about a procedure call": two plain
+  // The paper's "a fork costs about a procedure call": two single-writer
   // increments, one relaxed load of the poll word, one predictable
   // branch.  Everything observable from outside -- steal service, trace
-  // events, mirror publication, futex pokes -- hides behind the word.
-  ++w->stats().forks;
+  // events, heartbeat publication, futex pokes -- hides behind the word.
+  w->stats().forks.add();
   w->heartbeat();
   if (w->poll_word() != 0) [[unlikely]] w->fork_poll_slow(s);
   s->invoke = invoke;
@@ -200,7 +228,7 @@ Stacklet* allocate_stacklet() {
 void suspend(Continuation* c, void (*after)(void*), void* arg) {
   Worker* w = tl_worker;
   assert(w != nullptr && "st::suspend must be called on a worker");
-  ++w->stats().suspends;
+  w->stats().suspends.add();
   w->heartbeat();
   w->trace(stu::kTraceSuspend, reinterpret_cast<std::uintptr_t>(c));
   // Everything done so far happens-before whoever resumes through `c`
@@ -237,7 +265,7 @@ void suspend(Continuation* c, void (*after)(void*), void* arg) {
 void resume(Continuation* c) {
   Worker* w = tl_worker;
   assert(w != nullptr && "st::resume must be called on a worker");
-  ++w->stats().resumes;
+  w->stats().resumes.add();
   w->heartbeat();
   w->trace(stu::kTraceResume, reinterpret_cast<std::uintptr_t>(c));
   hb::release(c, stu::kSchedHbCtx);
@@ -312,10 +340,12 @@ void Worker::serve_steal_request() {
 void Worker::poll_slow() noexcept {
   // Clear the serviceable bits *before* acting on them: a remote post
   // racing with the clear re-sets its bit and is seen at the next poll
-  // (in particular a thief that CASes the port after our exchange).
+  // (in particular a thief that CASes the port after our exchange).  The
+  // release half makes every counter bump before this poll visible to a
+  // stats() reader that sees kPollSample clear (sample_pending).
   hb::access(this, stu::kSchedAccessAtomic, hb::kSitePollWord);
   const std::uint32_t bits =
-      poll_word_.fetch_and(~(kPollSteal | kPollSample), std::memory_order_acquire);
+      poll_word_.fetch_and(~(kPollSteal | kPollSample), std::memory_order_acq_rel);
   if (bits & kPollSteal) {
     StealRequest* r = port_.exchange(nullptr, std::memory_order_acq_rel);
     if (r != nullptr) {
@@ -354,7 +384,7 @@ void Worker::poll_slow() noexcept {
       }
       if (got > 0) {
         r->extra_n = got - 1;
-        ++stats_.steals_served;
+        stats_.steals_served.add();
         trace(stu::kTraceStealServed, reinterpret_cast<std::uintptr_t>(r),
               reinterpret_cast<std::uintptr_t>(first));
         if (got >= 2) {
@@ -373,7 +403,7 @@ void Worker::poll_slow() noexcept {
         }
         r->state.store(StealRequest::kServed, std::memory_order_release);
       } else {
-        ++stats_.steals_rejected;
+        stats_.steals_rejected.add();
         trace(stu::kTraceStealRejected, reinterpret_cast<std::uintptr_t>(r));
         if (stu::sched_recording()) [[unlikely]] {
           stu::sched_record(stu::kSchedServe, static_cast<std::uint16_t>(id_),
@@ -384,7 +414,7 @@ void Worker::poll_slow() noexcept {
       publish_depth();  // occupancy changed (or a stale value cost a reject)
     }
   }
-  if (bits & kPollSample) publish_stats();
+  if (bits & kPollSample) publish_sample();
   if (bits & kPollParked) {
     // Someone futex-parked while we were (presumably) making work: if we
     // have anything stealable, poke the epoch so they come back.  The
@@ -414,24 +444,7 @@ void Worker::fork_poll_slow(Stacklet* s) noexcept {
   }
 }
 
-void Worker::publish_stats() noexcept {
-  mirror_.forks.store(stats_.forks, std::memory_order_relaxed);
-  mirror_.suspends.store(stats_.suspends, std::memory_order_relaxed);
-  mirror_.resumes.store(stats_.resumes, std::memory_order_relaxed);
-  mirror_.steals_served.store(stats_.steals_served, std::memory_order_relaxed);
-  mirror_.steals_received.store(stats_.steals_received, std::memory_order_relaxed);
-  mirror_.steal_attempts.store(stats_.steal_attempts, std::memory_order_relaxed);
-  mirror_.steals_rejected.store(stats_.steals_rejected, std::memory_order_relaxed);
-  mirror_.steals_cancelled.store(stats_.steals_cancelled, std::memory_order_relaxed);
-  mirror_.steals_local.store(stats_.steals_local, std::memory_order_relaxed);
-  mirror_.steals_remote.store(stats_.steals_remote, std::memory_order_relaxed);
-  mirror_.steal_tasks.store(stats_.steal_tasks, std::memory_order_relaxed);
-  mirror_.tasks_completed.store(stats_.tasks_completed, std::memory_order_relaxed);
-  mirror_.io_wakeups.store(stats_.io_wakeups, std::memory_order_relaxed);
-  mirror_.io_events.store(stats_.io_events, std::memory_order_relaxed);
-  mirror_.io_timers.store(stats_.io_timers, std::memory_order_relaxed);
-  mirror_.io_migrations.store(stats_.io_migrations, std::memory_order_relaxed);
-  mirror_.io_cancels.store(stats_.io_cancels, std::memory_order_relaxed);
+void Worker::publish_sample() noexcept {
   hb_mirror_.store(hb_, std::memory_order_relaxed);
   publish_depth();
 }
@@ -514,7 +527,7 @@ bool Worker::try_steal_and_run() {
   // victim classifies identically to the recorded run.
   const unsigned vdom = rt_.domain_of(victim->id());
   local = vdom == domain_;
-  ++stats_.steal_attempts;
+  stats_.steal_attempts.add();
   set_phase(WorkerPhase::kStealing);
   const bool timed = stu::metrics_enabled();
   const std::uint64_t t0 = timed ? stu::trace_clock() : 0;
@@ -584,7 +597,7 @@ bool Worker::try_steal_and_run() {
         // Withdrawn before the victim saw it.  Cancels get their own
         // series: folding them into steal_latency skewed its p99 toward
         // the spin-limit constant.
-        ++stats_.steals_cancelled;
+        stats_.steals_cancelled.add();
         trace(stu::kTraceStealCancelled, reinterpret_cast<std::uintptr_t>(&req), victim->id());
         if (stu::sched_recording()) [[unlikely]] {
           stu::sched_record(stu::kSchedStealResult, static_cast<std::uint16_t>(id_),
@@ -645,10 +658,10 @@ bool Worker::try_steal_and_run() {
     set_phase(WorkerPhase::kIdle);
     return false;
   }
-  ++stats_.steals_received;
-  if (local) ++stats_.steals_local; else ++stats_.steals_remote;
+  stats_.steals_received.add();
+  if (local) stats_.steals_local.add(); else stats_.steals_remote.add();
   const std::uint32_t batch_n = 1 + req.extra_n;
-  stats_.steal_tasks += batch_n;
+  stats_.steal_tasks.add(batch_n);
   note_domain_outcome(vdom, true);
   reset_local_fails();
   if (stu::metrics_enabled()) metrics_.steal_batch_size.record(batch_n);
@@ -778,10 +791,10 @@ void Worker::scheduler_loop() {
     }
     idle_backoff_step(spins, yields);
   }
-  // Shutdown: publish the final counters (stats() reads mirrors after the
-  // join) and resolve any request still parked on our port so no thief
-  // spins on a vanished victim.
-  publish_stats();
+  // Shutdown: publish the final heartbeat and depth, and resolve any
+  // request still parked on our port so no thief spins on a vanished
+  // victim.
+  publish_sample();
   StealRequest* r = port_.exchange(nullptr, std::memory_order_acq_rel);
   if (r != nullptr) r->state.store(StealRequest::kRejected, std::memory_order_release);
   tl_worker = nullptr;
@@ -880,65 +893,23 @@ Runtime::~Runtime() {
     stu::MetricsRegistry::instance().remove_provider(metrics_provider_);
   }
   if (stu::trace_stats_enabled()) {
-    const RuntimeStats s = stats();
-    std::fprintf(stderr,
-                 "[st-stats runtime workers=%u domains=%u] forks=%llu suspends=%llu "
-                 "resumes=%llu tasks=%llu steal{attempts=%llu served=%llu "
-                 "received=%llu rejected=%llu cancelled=%llu local=%llu "
-                 "remote=%llu tasks=%llu} region{high_water=%llu "
-                 "heap_fallbacks=%llu scavenges=%llu trims=%llu} io{wakeups=%llu "
-                 "events=%llu timers=%llu migrations=%llu cancels=%llu}\n",
-                 num_workers(), num_domains(),
-                 static_cast<unsigned long long>(s.forks),
-                 static_cast<unsigned long long>(s.suspends),
-                 static_cast<unsigned long long>(s.resumes),
-                 static_cast<unsigned long long>(s.tasks_completed),
-                 static_cast<unsigned long long>(s.steal_attempts),
-                 static_cast<unsigned long long>(s.steals_served),
-                 static_cast<unsigned long long>(s.steals_received),
-                 static_cast<unsigned long long>(s.steals_rejected),
-                 static_cast<unsigned long long>(s.steals_cancelled),
-                 static_cast<unsigned long long>(s.steals_local),
-                 static_cast<unsigned long long>(s.steals_remote),
-                 static_cast<unsigned long long>(s.steal_tasks),
-                 static_cast<unsigned long long>(s.region_high_water),
-                 static_cast<unsigned long long>(s.heap_fallbacks),
-                 static_cast<unsigned long long>(s.region_scavenges),
-                 static_cast<unsigned long long>(s.region_trims),
-                 static_cast<unsigned long long>(s.io_wakeups),
-                 static_cast<unsigned long long>(s.io_events),
-                 static_cast<unsigned long long>(s.io_timers),
-                 static_cast<unsigned long long>(s.io_migrations),
-                 static_cast<unsigned long long>(s.io_cancels));
+    std::fprintf(stderr, "[st-stats runtime workers=%u domains=%u]%s\n", num_workers(),
+                 num_domains(), stu::counters_flat(counter_rows(stats())).c_str());
     if (stu::metrics_enabled()) {
       // ST_STATS grows latency percentile tables when metrics were on.
-      const double ns = stu::trace_ns_per_tick();
-      struct Row {
-        const char* name;
-        double scale;
-        stu::LogHistogram WorkerMetrics::*h;
-      };
-      const Row rows[] = {
-          {"steal_latency_ns", ns, &WorkerMetrics::steal_latency},
-          {"steal_cancel_latency_ns", ns, &WorkerMetrics::steal_cancel_latency},
-          {"suspend_to_restart_ns", ns, &WorkerMetrics::suspend_to_restart},
-          {"fork_deque_depth", 1.0, &WorkerMetrics::deque_depth},
-          {"steal_batch_size", 1.0, &WorkerMetrics::steal_batch_size},
-          {"io_wait_ns", ns, &WorkerMetrics::io_wait},
-          {"io_ready_batch", 1.0, &WorkerMetrics::io_ready_batch},
-      };
-      for (const Row& row : rows) {
+      for (const HistogramRow& row : kHistograms) {
         stu::HistogramSnapshot merged;
         for (const auto& w : workers_) merged.merge((w->metrics().*row.h).snapshot());
         if (merged.count == 0) continue;
+        const double scale = row.scale();
         const stu::Summary sum = merged.summarize();
         std::fprintf(stderr,
-                     "[st-stats histogram %s] count=%llu min=%.0f p50=%.0f "
+                     "[st-stats histogram %s%s] count=%llu min=%.0f p50=%.0f "
                      "p90=%.0f p99=%.0f max=%.0f mean=%.1f\n",
-                     row.name, static_cast<unsigned long long>(merged.count),
-                     sum.min * row.scale, sum.median * row.scale,
-                     sum.p90 * row.scale, sum.p99 * row.scale,
-                     sum.max * row.scale, sum.mean * row.scale);
+                     row.name, row.in_ns() ? "_ns" : "",
+                     static_cast<unsigned long long>(merged.count), sum.min * scale,
+                     sum.median * scale, sum.p90 * scale, sum.p99 * scale,
+                     sum.max * scale, sum.mean * scale);
       }
     }
   }
@@ -1138,7 +1109,7 @@ void Runtime::park_worker(Worker& self) {
   // total order, so futex_wait returns immediately (value changed) and
   // the acquire on the epoch makes the published work visible to the
   // recheck.  The ST_PARK_TIMEOUT_US timeout is belt and braces.
-  self.publish_stats();  // mirrors + depth now exact; stats() relies on this
+  self.publish_sample();  // heartbeat + depth now exact
   parked_.fetch_add(1, std::memory_order_seq_cst);
   self.set_parked(true);
   for (auto& w : workers_) {
@@ -1188,9 +1159,8 @@ void Runtime::park_worker(Worker& self) {
 
 void Runtime::io_block_worker(Worker& self) {
   // Mirror of park_worker with the futex swapped for the reactor's
-  // epoll_wait.  Publication first: stats() treats an io-blocked worker's
-  // mirror as current, and thieves must see our zero depth.
-  self.publish_stats();
+  // epoll_wait.  Publication first: thieves must see our zero depth.
+  self.publish_sample();
   io_blocked_.fetch_add(1, std::memory_order_seq_cst);
   self.set_io_blocked(true);
   bool work = done() || injected_count_.load(std::memory_order_acquire) > 0 ||
@@ -1229,84 +1199,45 @@ void Runtime::run(std::function<void()> root) {
 }
 
 RuntimeStats Runtime::stats() const {
-  // Quiesce-aware read: ask every worker to publish, then wait (bounded)
-  // until each has either cleared the bit or parked (a parked worker
-  // published immediately before sleeping, so its mirror is current).
+  // Quiesce-aware read: ask every worker to sample, then wait (bounded)
+  // until each has either cleared the bit or parked.  Either edge is a
+  // release by the owner after its counter bumps, read here by acquire.
   request_sample_all();
   Worker* self = tl_worker;
   if (self != nullptr && &self->runtime() != this) self = nullptr;
-  if (self != nullptr) self->publish_stats();  // we can't wait on ourselves
   if (!done()) {
-    // Generous: a healthy worker publishes within microseconds, so the
-    // deadline only matters for wedged workers -- but a worker that is
-    // merely starved for CPU (sanitizer builds on a loaded host) must
-    // not yield a stale mirror.
+    // Generous: a healthy worker clears the bit within microseconds, so
+    // the deadline only matters for wedged workers -- but a worker that
+    // is merely starved for CPU (sanitizer builds on a loaded host) must
+    // not yield a stale reading.
     const auto deadline =
         std::chrono::steady_clock::now() + std::chrono::milliseconds(200);
     for (const auto& w : workers_) {
-      if (w.get() == self) continue;
-      while ((w->poll_word() & Worker::kPollSample) != 0 && !w->parked() &&
-             !w->io_blocked() && std::chrono::steady_clock::now() < deadline) {
+      if (w.get() == self) continue;  // we can't wait on ourselves
+      while (w->sample_pending() && !w->parked() && !w->io_blocked() &&
+             std::chrono::steady_clock::now() < deadline) {
         std::this_thread::yield();
       }
     }
   }
   RuntimeStats out;
   for (const auto& w : workers_) {
-    const WorkerStatsMirror& m = w->stats_mirror();
-    auto get = [](const std::atomic<std::uint64_t>& a) {
-      return a.load(std::memory_order_relaxed);
-    };
-    out.forks += get(m.forks);
-    out.suspends += get(m.suspends);
-    out.resumes += get(m.resumes);
-    out.steals_served += get(m.steals_served);
-    out.steals_received += get(m.steals_received);
-    out.steal_attempts += get(m.steal_attempts);
-    out.steals_rejected += get(m.steals_rejected);
-    out.steals_cancelled += get(m.steals_cancelled);
-    out.steals_local += get(m.steals_local);
-    out.steals_remote += get(m.steals_remote);
-    out.steal_tasks += get(m.steal_tasks);
-    out.tasks_completed += get(m.tasks_completed);
-    out.io_wakeups += get(m.io_wakeups);
-    out.io_events += get(m.io_events);
-    out.io_timers += get(m.io_timers);
-    out.io_migrations += get(m.io_migrations);
-    out.io_cancels += get(m.io_cancels);
+    const WorkerStats& s = w->stats();
     StackRegion& r = w->region();
-    out.region_high_water += r.high_water();
-    out.heap_fallbacks += r.heap_fallbacks();
-    out.region_scavenges += r.scavenges();
-    out.region_trims += r.trims();
+#define ST_SUM_WORKER(field, key) out.field += s.field.get();
+#define ST_SUM_REGION(field, key, accessor) out.field += r.accessor();
+    ST_RUNTIME_COUNTERS(ST_SUM_WORKER, ST_SUM_REGION)
+#undef ST_SUM_WORKER
+#undef ST_SUM_REGION
   }
   return out;
 }
 
 std::string Runtime::metrics_json() const {
   const char* phase_names[] = {"idle", "working", "stealing"};
-  const RuntimeStats agg = stats();
   std::ostringstream os;
   os << "{\"kind\":\"runtime\",\"workers\":" << workers_.size() << ","
-     << "\"counters\":{"
-     << "\"forks\":" << agg.forks << ",\"suspends\":" << agg.suspends
-     << ",\"resumes\":" << agg.resumes << ",\"tasks_completed\":" << agg.tasks_completed
-     << ",\"steal_attempts\":" << agg.steal_attempts
-     << ",\"steals_served\":" << agg.steals_served
-     << ",\"steals_received\":" << agg.steals_received
-     << ",\"steals_rejected\":" << agg.steals_rejected
-     << ",\"steals_cancelled\":" << agg.steals_cancelled
-     << ",\"steal_local\":" << agg.steals_local
-     << ",\"steal_remote\":" << agg.steals_remote
-     << ",\"steal_tasks\":" << agg.steal_tasks
-     << ",\"region_high_water\":" << agg.region_high_water
-     << ",\"heap_fallbacks\":" << agg.heap_fallbacks
-     << ",\"region_scavenges\":" << agg.region_scavenges
-     << ",\"region_trims\":" << agg.region_trims
-     << ",\"io_wakeups\":" << agg.io_wakeups << ",\"io_events\":" << agg.io_events
-     << ",\"io_timers\":" << agg.io_timers
-     << ",\"io_migrations\":" << agg.io_migrations
-     << ",\"io_cancels\":" << agg.io_cancels << "},";
+     << stu::counters_json(counter_rows(stats())) << ",";
   // Steal-domain hierarchy (ST_TOPOLOGY): per-domain membership and the
   // idle-wake counter -- the "did work reach the remote socket" signal.
   os << "\"domains\":[";
@@ -1345,28 +1276,12 @@ std::string Runtime::metrics_json() const {
        << ",\"trims\":" << r.trims() << "}}";
   }
   os << "],";
-  const double ns = stu::trace_ns_per_tick();
-  struct Row {
-    const char* name;
-    const char* unit;
-    double scale;
-    stu::LogHistogram WorkerMetrics::*h;
-  };
-  const Row rows[] = {
-      {"steal_latency", "ns", ns, &WorkerMetrics::steal_latency},
-      {"steal_cancel_latency", "ns", ns, &WorkerMetrics::steal_cancel_latency},
-      {"suspend_to_restart", "ns", ns, &WorkerMetrics::suspend_to_restart},
-      {"fork_deque_depth", "tasks", 1.0, &WorkerMetrics::deque_depth},
-      {"steal_batch_size", "tasks", 1.0, &WorkerMetrics::steal_batch_size},
-      {"io_wait", "ns", ns, &WorkerMetrics::io_wait},
-      {"io_ready_batch", "events", 1.0, &WorkerMetrics::io_ready_batch},
-  };
   os << "\"histograms\":[";
   bool first = true;
-  for (const Row& row : rows) {
+  for (const HistogramRow& row : kHistograms) {
     stu::HistogramSnapshot merged;
     for (const auto& w : workers_) merged.merge((w->metrics().*row.h).snapshot());
-    os << (first ? "" : ",") << merged.to_json(row.name, row.unit, row.scale);
+    os << (first ? "" : ",") << merged.to_json(row.name, row.unit, row.scale());
     first = false;
   }
   os << "]}";

@@ -91,17 +91,12 @@ struct IdlePolicy {
   int steal_batch = 4;
 };
 
-/// Aggregated counters over all workers (see WorkerStats).
+/// Aggregated counters over all workers: one member per
+/// ST_RUNTIME_COUNTERS entry (runtime/worker.hpp), in table order.
 struct RuntimeStats {
-  std::uint64_t forks = 0, suspends = 0, resumes = 0;
-  std::uint64_t steals_served = 0, steals_received = 0, steal_attempts = 0,
-                steals_rejected = 0, steals_cancelled = 0;
-  std::uint64_t steals_local = 0, steals_remote = 0, steal_tasks = 0;
-  std::uint64_t tasks_completed = 0;
-  std::uint64_t region_high_water = 0, heap_fallbacks = 0;
-  std::uint64_t region_scavenges = 0, region_trims = 0;
-  std::uint64_t io_wakeups = 0, io_events = 0, io_timers = 0;
-  std::uint64_t io_migrations = 0, io_cancels = 0;
+#define ST_FIELD(field, ...) std::uint64_t field = 0;
+  ST_RUNTIME_COUNTERS(ST_FIELD, ST_FIELD)
+#undef ST_FIELD
 };
 
 class Runtime {
@@ -122,10 +117,10 @@ class Runtime {
   bool done() const noexcept { return done_.load(std::memory_order_acquire); }
 
   /// Aggregated counters.  Quiesce-aware: posts a kPollSample request to
-  /// every worker and waits (bounded, ~5ms) until each has published its
-  /// mirror or is parked, so counts read after run() returns are exact.
-  /// A worker wedged in poll-free application code yields a best-effort
-  /// (slightly stale) reading instead of blocking.
+  /// every worker and waits (bounded, 200 ms) until each has cleared it
+  /// at a poll or is parked or io-blocked, so counts read after run()
+  /// returns are exact.  A worker wedged in poll-free application code
+  /// yields a best-effort (slightly stale) reading instead of blocking.
   RuntimeStats stats() const;
 
   /// This runtime's section of the ST_METRICS snapshot: one JSON object

@@ -21,9 +21,10 @@
 // workers, the monitor) fetch_or bits into the word; the owner services
 // and clears them in poll_slow().  Everything else the fork path used to
 // do per fork -- heartbeat bump, stat counters, deque-depth histogram
-// sample -- is either a plain single-writer field published to an atomic
-// mirror from the slow path, or decimated (one sample per
-// kDepthSampleEvery forks).  See DESIGN.md §5 and docs/OBSERVABILITY.md.
+// sample -- is a single-writer counter (relaxed load + store, no lock
+// prefix), a plain field published to an atomic mirror from the slow
+// path (the heartbeat), or decimated (one sample per kDepthSampleEvery
+// forks).  See DESIGN.md §5 and docs/OBSERVABILITY.md.
 #pragma once
 
 #include <atomic>
@@ -108,49 +109,41 @@ class IoPoller {
   virtual void wake() noexcept = 0;
 };
 
-/// Per-worker counters.  Plain fields: written only by the owning worker
-/// thread, read by nobody else.  The owner copies them into the atomic
-/// WorkerStatsMirror from the slow path (publish_stats); readers go
-/// through the mirror.
-struct WorkerStats {
-  std::uint64_t forks = 0;
-  std::uint64_t suspends = 0;
-  std::uint64_t resumes = 0;
-  std::uint64_t steals_served = 0;
-  std::uint64_t steals_received = 0;
-  std::uint64_t steal_attempts = 0;
-  std::uint64_t steals_rejected = 0;
-  std::uint64_t steals_cancelled = 0;
-  std::uint64_t steals_local = 0;   ///< received, victim in this worker's domain
-  std::uint64_t steals_remote = 0;  ///< received, victim in another domain
-  std::uint64_t steal_tasks = 0;    ///< continuations received incl. batch extras
-  std::uint64_t tasks_completed = 0;
-  std::uint64_t io_wakeups = 0;     ///< epoll_wait returns with >= 1 event
-  std::uint64_t io_events = 0;      ///< waiters resumed by readiness/expiry
-  std::uint64_t io_timers = 0;      ///< sleep_for expiries delivered
-  std::uint64_t io_migrations = 0;  ///< fd interest re-homed after a steal
-  std::uint64_t io_cancels = 0;     ///< waiters cancelled by close()
-};
+/// The runtime's counters, each defined once, in RuntimeStats member
+/// order.  The second argument is the ST_METRICS / ST_STATS key.
+/// W(field, key) is an event counter kept per worker in WorkerStats;
+/// R(field, key, accessor) is read from the worker's StackRegion.
+#define ST_RUNTIME_COUNTERS(W, R)                                      \
+  W(forks, forks)                                                      \
+  W(suspends, suspends)                                                \
+  W(resumes, resumes)                                                  \
+  W(steals_served, steals_served)                                      \
+  W(steals_received, steals_received)                                  \
+  W(steal_attempts, steal_attempts)                                    \
+  W(steals_rejected, steals_rejected)                                  \
+  W(steals_cancelled, steals_cancelled)                                \
+  W(steals_local, steal_local)   /* received from this worker's domain */ \
+  W(steals_remote, steal_remote) /* received from another domain */   \
+  W(steal_tasks, steal_tasks)    /* continuations incl. batch extras */ \
+  W(tasks_completed, tasks_completed)                                  \
+  R(region_high_water, region_high_water, high_water)                  \
+  R(heap_fallbacks, heap_fallbacks, heap_fallbacks)                    \
+  R(region_scavenges, region_scavenges, scavenges)                     \
+  R(region_trims, region_trims, trims)                                 \
+  W(io_wakeups, io_wakeups)       /* epoll_wait returns, >= 1 event */ \
+  W(io_events, io_events)         /* waiters resumed by readiness */   \
+  W(io_timers, io_timers)         /* sleep_for expiries delivered */   \
+  W(io_migrations, io_migrations) /* fd interest re-homed by a steal */ \
+  W(io_cancels, io_cancels)       /* waiters cancelled by close() */
 
-/// Racy-reader copy of WorkerStats (relaxed atomics, single publisher).
-struct WorkerStatsMirror {
-  std::atomic<std::uint64_t> forks{0};
-  std::atomic<std::uint64_t> suspends{0};
-  std::atomic<std::uint64_t> resumes{0};
-  std::atomic<std::uint64_t> steals_served{0};
-  std::atomic<std::uint64_t> steals_received{0};
-  std::atomic<std::uint64_t> steal_attempts{0};
-  std::atomic<std::uint64_t> steals_rejected{0};
-  std::atomic<std::uint64_t> steals_cancelled{0};
-  std::atomic<std::uint64_t> steals_local{0};
-  std::atomic<std::uint64_t> steals_remote{0};
-  std::atomic<std::uint64_t> steal_tasks{0};
-  std::atomic<std::uint64_t> tasks_completed{0};
-  std::atomic<std::uint64_t> io_wakeups{0};
-  std::atomic<std::uint64_t> io_events{0};
-  std::atomic<std::uint64_t> io_timers{0};
-  std::atomic<std::uint64_t> io_migrations{0};
-  std::atomic<std::uint64_t> io_cancels{0};
+/// Per-worker event counters: single-writer relaxed atomics.  Only the
+/// owning worker bumps them; Runtime::stats() reads them live.
+struct WorkerStats {
+#define ST_WORKER_COUNTER(field, key) stu::Counter field;
+#define ST_REGION_COUNTER(field, key, accessor)
+  ST_RUNTIME_COUNTERS(ST_WORKER_COUNTER, ST_REGION_COUNTER)
+#undef ST_WORKER_COUNTER
+#undef ST_REGION_COUNTER
 };
 
 /// What the worker is doing right now, for the monitor's classification
@@ -177,9 +170,9 @@ struct WorkerMetrics {
 class alignas(stu::kCacheLine) Worker {
  public:
   // Poll-word bits.  Remote parties fetch_or (release); the owner clears
-  // the serviceable bits with fetch_and (acquire) in poll_slow.
+  // the serviceable bits with fetch_and (acq_rel) in poll_slow.
   static constexpr std::uint32_t kPollSteal = 1u << 0;    ///< request in port_
-  static constexpr std::uint32_t kPollSample = 1u << 1;   ///< publish mirrors
+  static constexpr std::uint32_t kPollSample = 1u << 1;   ///< publish heartbeat, depth
   static constexpr std::uint32_t kPollParked = 1u << 2;   ///< thieves parked: poke futex
   static constexpr std::uint32_t kPollFeatures = 1u << 3; ///< trace/metrics on
 
@@ -207,9 +200,14 @@ class alignas(stu::kCacheLine) Worker {
   void post_poll_bits(std::uint32_t bits) noexcept {
     poll_word_.fetch_or(bits, std::memory_order_release);
   }
+  /// Reader side of kPollSample: once this reads false after a post, the
+  /// owner's counter writes before its clear (a release) are visible.
+  bool sample_pending() const noexcept {
+    return (poll_word_.load(std::memory_order_acquire) & kPollSample) != 0;
+  }
 
   /// Owner-only slow path behind the poll word: serve the steal port,
-  /// publish heartbeat/stat mirrors and the depth array, wake parked
+  /// publish the heartbeat mirror and the depth array, wake parked
   /// thieves, refresh the features bit.
   void poll_slow() noexcept;
 
@@ -231,13 +229,13 @@ class alignas(stu::kCacheLine) Worker {
 
   StackRegion& region() noexcept { return region_; }
 
-  /// Owner-only plain counters; everyone else reads stats_mirror().
+  /// Event counters: the owner bumps them, anyone may read them.
   WorkerStats& stats() noexcept { return stats_; }
-  const WorkerStatsMirror& stats_mirror() const noexcept { return mirror_; }
+  const WorkerStats& stats() const noexcept { return stats_; }
 
-  /// Copy the plain counters + heartbeat into their atomic mirrors and
-  /// publish this worker's stealable-work depth (owner only).
-  void publish_stats() noexcept;
+  /// Copy the heartbeat into its mirror and publish this worker's
+  /// stealable-work depth (owner only).
+  void publish_sample() noexcept;
 
   /// Publish fork_deque+readyq occupancy to the runtime's shared depth
   /// array (one relaxed store; thieves read it to pick victims).
@@ -322,8 +320,8 @@ class alignas(stu::kCacheLine) Worker {
   }
 
   /// True while the worker is blocked in futex_wait on the work epoch.
-  /// A parked worker has published everything and cannot serve its port;
-  /// thieves skip it, and stats() treats its mirror as current.
+  /// A parked worker cannot serve its port; thieves skip it, and stats()
+  /// reads its counters as final (the release store orders them first).
   bool parked() const noexcept { return parked_.load(std::memory_order_acquire); }
   void set_parked(bool p) noexcept {
     parked_.store(p, std::memory_order_release);
@@ -341,9 +339,9 @@ class alignas(stu::kCacheLine) Worker {
   }
 
   /// True while the worker is blocked inside io_poller()->poll() in place
-  /// of a futex park (stage 3 of the idle backoff).  Same contract as
-  /// parked(): mirrors were published first, stats() treats them as
-  /// current, and notify_work must wake() the reactor.
+  /// of a futex park (stage 3 of the idle backoff).  stats() does not
+  /// wait for it (only the reactor's io_* counters can still move), and
+  /// notify_work must wake() the reactor.
   bool io_blocked() const noexcept {
     return io_blocked_.load(std::memory_order_acquire);
   }
@@ -388,8 +386,7 @@ class alignas(stu::kCacheLine) Worker {
   WorkerStats stats_;
   stu::TraceRing trace_;
   WorkerMetrics metrics_;
-  // Published mirrors (owner writes from the slow path, racy readers).
-  WorkerStatsMirror mirror_;
+  // Published state (owner writes, racy readers).
   std::atomic<std::uint64_t> hb_mirror_{0};
   std::atomic<std::uint32_t> phase_{0};  // WorkerPhase::kIdle
   std::atomic<bool> parked_{false};

@@ -23,6 +23,14 @@ bool is_fork_point(const ProcDescriptor* d, Addr call_addr) {
              d->fork_points.end();
 }
 
+/// VmStats as (key, value) rows in table order: the ST_METRICS
+/// "counters" object and the ST_STATS stvm row.
+std::vector<stu::CounterRow> counter_rows(const VmStats& s) {
+#define ST_ROW(field) {#field, s.field},
+  return {ST_VM_COUNTERS(ST_ROW)};
+#undef ST_ROW
+}
+
 }  // namespace
 
 // ---------------------------------------------------------------------
@@ -187,21 +195,8 @@ Vm::~Vm() {
     stu::MetricsRegistry::instance().remove_provider(metrics_provider_);
   }
   if (stu::trace_stats_enabled()) {
-    std::fprintf(stderr,
-                 "[st-stats stvm workers=%u] instructions=%llu suspends=%llu "
-                 "restarts=%llu resumes=%llu steal{served=%llu rejected=%llu} "
-                 "frames_unwound=%llu shrink_reclaimed=%llu retired_marks=%llu "
-                 "trampolines=%llu\n",
-                 cfg_.workers, static_cast<unsigned long long>(stats_.instructions),
-                 static_cast<unsigned long long>(stats_.suspends),
-                 static_cast<unsigned long long>(stats_.restarts),
-                 static_cast<unsigned long long>(stats_.resumes),
-                 static_cast<unsigned long long>(stats_.steals_served),
-                 static_cast<unsigned long long>(stats_.steals_rejected),
-                 static_cast<unsigned long long>(stats_.frames_unwound),
-                 static_cast<unsigned long long>(stats_.shrink_reclaimed),
-                 static_cast<unsigned long long>(stats_.retired_marks_seen),
-                 static_cast<unsigned long long>(stats_.trampolines_taken));
+    std::fprintf(stderr, "[st-stats stvm workers=%u]%s\n", cfg_.workers,
+                 stu::counters_flat(counter_rows(stats_)).c_str());
     std::fprintf(stderr, "[st-stats stvm opcodes dispatch=%s fuse=%d]",
                  jit_active_ ? "jit" : threaded_ ? "threaded" : "switch",
                  threaded_ && fuse_ ? 1 : 0);
@@ -1894,16 +1889,7 @@ std::string Vm::metrics_json() const {
   os << "{\"kind\":\"stvm\",\"workers\":" << cfg_.workers << ","
      << "\"dispatch\":\"" << (jit_active_ ? "jit" : threaded_ ? "threaded" : "switch")
      << "\","
-     << "\"counters\":{"
-     << "\"instructions\":" << stats_.instructions
-     << ",\"suspends\":" << stats_.suspends << ",\"restarts\":" << stats_.restarts
-     << ",\"resumes\":" << stats_.resumes
-     << ",\"steals_served\":" << stats_.steals_served
-     << ",\"steals_rejected\":" << stats_.steals_rejected
-     << ",\"frames_unwound\":" << stats_.frames_unwound
-     << ",\"shrink_reclaimed\":" << stats_.shrink_reclaimed
-     << ",\"retired_marks_seen\":" << stats_.retired_marks_seen
-     << ",\"trampolines_taken\":" << stats_.trampolines_taken << "},";
+     << stu::counters_json(counter_rows(stats_)) << ",";
   os << "\"per_worker\":[";
   for (unsigned w = 0; w < cfg_.workers; ++w) {
     const auto& W = workers_[w];

@@ -78,17 +78,25 @@ struct VmConfig {
   bool count_opcodes = false;
 };
 
+/// The VM's counters, each defined once; the field name is also the
+/// ST_METRICS / ST_STATS key.
+#define ST_VM_COUNTERS(X) \
+  X(instructions)         \
+  X(suspends)             \
+  X(restarts)             \
+  X(resumes)              \
+  X(steals_served)        \
+  X(steals_rejected)      \
+  X(frames_unwound)       \
+  X(shrink_reclaimed)     \
+  X(retired_marks_seen)   \
+  X(trampolines_taken)
+
 struct VmStats {
-  std::uint64_t instructions = 0;
-  std::uint64_t suspends = 0;
-  std::uint64_t restarts = 0;
-  std::uint64_t resumes = 0;
-  std::uint64_t steals_served = 0;
-  std::uint64_t steals_rejected = 0;
-  std::uint64_t frames_unwound = 0;
-  std::uint64_t shrink_reclaimed = 0;
-  std::uint64_t retired_marks_seen = 0;
-  std::uint64_t trampolines_taken = 0;
+#define ST_FIELD(field) std::uint64_t field = 0;
+  ST_VM_COUNTERS(ST_FIELD)
+#undef ST_FIELD
+  bool operator==(const VmStats&) const = default;
 };
 
 class Vm {

@@ -251,6 +251,27 @@ Summary HistogramSnapshot::summarize() const {
   return s;
 }
 
+std::string counters_json(const std::vector<CounterRow>& rows) {
+  std::string out = "\"counters\":{";
+  for (const auto& [key, value] : rows) {
+    if (out.back() != '{') out += ',';
+    out += '"';
+    out += key;
+    out += "\":" + std::to_string(value);
+  }
+  return out + '}';
+}
+
+std::string counters_flat(const std::vector<CounterRow>& rows) {
+  std::string out;
+  for (const auto& [key, value] : rows) {
+    out += ' ';
+    out += key;
+    out += '=' + std::to_string(value);
+  }
+  return out;
+}
+
 std::string HistogramSnapshot::to_json(const std::string& name, const char* unit,
                                        double scale) const {
   const Summary s = summarize();

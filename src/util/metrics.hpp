@@ -30,6 +30,7 @@
 #include <cstdint>
 #include <functional>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "util/stats.hpp"
@@ -92,8 +93,8 @@ void crash_run_hooks();
 // Instruments
 // ---------------------------------------------------------------------
 
-/// Monotonic counter.  Single writer (relaxed load+store, same
-/// discipline as WorkerStats); any thread may read.
+/// Monotonic counter.  Single writer (relaxed load+store: no lock
+/// prefix on the bump); any thread may read.
 struct Counter {
   std::atomic<std::uint64_t> v{0};
   void add(std::uint64_t d = 1) noexcept {
@@ -101,6 +102,14 @@ struct Counter {
   }
   std::uint64_t get() const noexcept { return v.load(std::memory_order_relaxed); }
 };
+
+/// One named counter value, as the runtime and STVM counter tables render
+/// them.
+using CounterRow = std::pair<const char*, std::uint64_t>;
+/// `"counters":{"k":v,...}`: a provider's ST_METRICS counters member.
+std::string counters_json(const std::vector<CounterRow>& rows);
+/// ` k=v k=v ...`: the fields of an ST_STATS row.
+std::string counters_flat(const std::vector<CounterRow>& rows);
 
 /// Point-in-time value (deque depth, phase, occupancy).
 struct Gauge {

@@ -8,12 +8,15 @@
 #include <cerrno>
 #include <chrono>
 #include <cstring>
+#include <iterator>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include <sys/socket.h>
 #include <unistd.h>
 
+#include "counters_json.hpp"
 #include "io/net.hpp"
 #include "runtime/runtime.hpp"
 #include "sync/join_counter.hpp"
@@ -215,7 +218,9 @@ TEST(IoReactor, PingPongAcrossWorkers) {
 
 /// Many-connection TCP smoke over loopback: fine-grain acceptor, one
 /// handler per connection, every byte verified.  Also asserts the new io
-/// counters actually count (the observability surface is load-bearing).
+/// counters actually count (the observability surface is load-bearing),
+/// and that the ST_METRICS "counters" object renders every RuntimeStats
+/// field under its established key with the value stats() reports.
 TEST(IoReactor, LoopbackEchoManyConnections) {
   constexpr long kConns = 64;
   constexpr long kMsgs = 4;
@@ -280,6 +285,52 @@ TEST(IoReactor, LoopbackEchoManyConnections) {
   EXPECT_GT(s.io_events, 0u);   // suspensions resumed by readiness
   EXPECT_GT(s.io_wakeups, 0u);  // epoll_wait actually ran
   EXPECT_GT(s.io_cancels, 0u);  // listener.close cancelled the acceptor
+
+  // The key list is spelled out on purpose: renaming a key breaks
+  // snapshot readers, so it must fail here.
+  using S = st::RuntimeStats;
+  const std::pair<const char*, std::uint64_t S::*> keys[] = {
+      {"forks", &S::forks},
+      {"suspends", &S::suspends},
+      {"resumes", &S::resumes},
+      {"steals_served", &S::steals_served},
+      {"steals_received", &S::steals_received},
+      {"steal_attempts", &S::steal_attempts},
+      {"steals_rejected", &S::steals_rejected},
+      {"steals_cancelled", &S::steals_cancelled},
+      {"steal_local", &S::steals_local},
+      {"steal_remote", &S::steals_remote},
+      {"steal_tasks", &S::steal_tasks},
+      {"tasks_completed", &S::tasks_completed},
+      {"region_high_water", &S::region_high_water},
+      {"heap_fallbacks", &S::heap_fallbacks},
+      {"region_scavenges", &S::region_scavenges},
+      {"region_trims", &S::region_trims},
+      {"io_wakeups", &S::io_wakeups},
+      {"io_events", &S::io_events},
+      {"io_timers", &S::io_timers},
+      {"io_migrations", &S::io_migrations},
+      {"io_cancels", &S::io_cancels},
+  };
+  static_assert(std::size(keys) == sizeof(S) / sizeof(std::uint64_t));
+  // Idle workers may still be settling; compare only a render bracketed
+  // by two equal stats() readings.
+  std::string json;
+  S before;
+  for (int tries = 0;; ++tries) {
+    ASSERT_LT(tries, 100) << "stats() never settled";
+    before = rt.stats();
+    json = rt.metrics_json();
+    const S after = rt.stats();
+    if (std::memcmp(&before, &after, sizeof before) == 0) break;
+  }
+  const auto counters = test_util::parse_counters(json);
+  EXPECT_EQ(counters.size(), std::size(keys)) << json;
+  for (const auto& [key, field] : keys) {
+    const auto it = counters.find(key);
+    ASSERT_NE(it, counters.end()) << "no \"" << key << "\" in " << json;
+    EXPECT_EQ(it->second, before.*field) << key;
+  }
 }
 
 }  // namespace

@@ -6,6 +6,7 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <cstdint>
 #include <vector>
 
 #include "sync/join_counter.hpp"
@@ -206,6 +207,30 @@ TEST(RuntimeCore, StatsCountForksAndCompletions) {
   const auto s = rt.stats();
   EXPECT_EQ(s.forks, 3u);
   EXPECT_GE(s.tasks_completed, 4u);  // 3 children + the root
+}
+
+TEST(RuntimeCore, StatsExactRightAfterEveryRun) {
+  // A worker's counter bumps happen-before it clears kPollSample (or
+  // parks), and stats() waits for that edge -- so a read straight after
+  // run() sees every fork and completion of that run, including a
+  // child's tasks_completed bump that lands after the root has joined.
+  st::Runtime rt(4);
+  st::RuntimeStats before = rt.stats();
+  for (int round = 0; round < 200; ++round) {
+    const int kids = 1 + round % 16;
+    rt.run([&] {
+      st::JoinCounter jc(kids);
+      for (int i = 0; i < kids; ++i) st::fork([&] { jc.finish(); });
+      jc.join();
+    });
+    const st::RuntimeStats after = rt.stats();
+    ASSERT_EQ(after.forks - before.forks, static_cast<std::uint64_t>(kids))
+        << "round " << round;
+    ASSERT_EQ(after.tasks_completed - before.tasks_completed,
+              static_cast<std::uint64_t>(kids) + 1)
+        << "round " << round;
+    before = after;
+  }
 }
 
 TEST(RuntimeCore, MigrationHappensUnderMultipleWorkers) {

@@ -6,6 +6,11 @@
 
 #include <gtest/gtest.h>
 
+#include <iterator>
+#include <string>
+#include <utility>
+
+#include "counters_json.hpp"
 #include "stvm/asm.hpp"
 #include "stvm/programs.hpp"
 
@@ -49,6 +54,30 @@ TEST(Migration, StealsActuallyHappen) {
       << "a 4-worker run of pfib(16) should migrate at least one thread";
   EXPECT_GT(vm.stats().suspends, 0u);
   EXPECT_GT(vm.stats().restarts, 0u);
+
+  // The ST_METRICS "counters" object renders every VmStats field under
+  // its established key (spelled out, so a rename fails here).
+  const std::pair<const char*, std::uint64_t VmStats::*> keys[] = {
+      {"instructions", &VmStats::instructions},
+      {"suspends", &VmStats::suspends},
+      {"restarts", &VmStats::restarts},
+      {"resumes", &VmStats::resumes},
+      {"steals_served", &VmStats::steals_served},
+      {"steals_rejected", &VmStats::steals_rejected},
+      {"frames_unwound", &VmStats::frames_unwound},
+      {"shrink_reclaimed", &VmStats::shrink_reclaimed},
+      {"retired_marks_seen", &VmStats::retired_marks_seen},
+      {"trampolines_taken", &VmStats::trampolines_taken},
+  };
+  static_assert(std::size(keys) == sizeof(VmStats) / sizeof(std::uint64_t));
+  const std::string json = vm.metrics_json();
+  const auto counters = test_util::parse_counters(json);
+  EXPECT_EQ(counters.size(), std::size(keys)) << json;
+  for (const auto& [key, field] : keys) {
+    const auto it = counters.find(key);
+    ASSERT_NE(it, counters.end()) << "no \"" << key << "\" in " << json;
+    EXPECT_EQ(it->second, vm.stats().*field) << key;
+  }
 }
 
 TEST(Migration, ShrinkReclaimsMigratedFrames) {
