@@ -2,6 +2,7 @@
 
 #include <array>
 #include <atomic>
+#include <type_traits>
 #include <vector>
 
 #include "apps/exec_policy.hpp"
@@ -63,7 +64,12 @@ bool feasible(const Board& b, int pos) {
   return true;
 }
 
+/// Sequential search below `pos`.  With kPoll (the StExec instantiation
+/// only) every node is a poll point (§4.1): a leaf search runs long
+/// without forking, and thieves are served only at polls.
+template <bool kPoll>
 long count_seq(Board& b, int pos) {
+  if constexpr (kPoll) st::poll();
   if (pos == kCells) return 1;
   long found = 0;
   for (int v = 1; v <= kCells; ++v) {
@@ -71,7 +77,7 @@ long count_seq(Board& b, int pos) {
     if (b.used & bit) continue;
     b.cell[pos] = v;
     b.used |= bit;
-    if (feasible(b, pos)) found += count_seq(b, pos + 1);
+    if (feasible(b, pos)) found += count_seq<kPoll>(b, pos + 1);
     b.used &= ~bit;
     b.cell[pos] = 0;
   }
@@ -86,7 +92,8 @@ template <typename Exec>
 void count_par(const Board& b, int pos, std::atomic<long>& total) {
   if (pos == kForkCells) {
     Board local = b;
-    total.fetch_add(count_seq(local, pos), std::memory_order_relaxed);
+    total.fetch_add(count_seq<std::is_same_v<Exec, StExec>>(local, pos),
+                    std::memory_order_relaxed);
     return;
   }
   // Expand all feasible placements of this cell, then descend into the
@@ -126,7 +133,7 @@ long seq(int first_cell_limit) {
   for (int v = 1; v <= first_cell_limit && v <= kCells; ++v) {
     b.cell[0] = v;
     b.used = 1u << (v - 1);
-    total += count_seq(b, 1);
+    total += count_seq<false>(b, 1);
   }
   return total;
 }

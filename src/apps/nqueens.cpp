@@ -2,6 +2,7 @@
 
 #include <atomic>
 #include <cstdint>
+#include <type_traits>
 #include <vector>
 
 #include "apps/exec_policy.hpp"
@@ -20,6 +21,30 @@ long count_seq(int n, std::uint32_t cols, std::uint32_t diag1, std::uint32_t dia
     const std::uint32_t bit = free_slots & (0u - free_slots);
     free_slots ^= bit;
     found += count_seq(n, cols | bit, (diag1 | bit) << 1, (diag2 | bit) >> 1);
+  }
+  return found;
+}
+
+/// Rows next to the leaves that the polled search leaves unpolled.  They
+/// hold ~96% of the 14-queens nodes, each costing a few ns, so a poll
+/// there shows on one worker; the subtree under a row above them averages
+/// ~30 nodes, a poll interval well under a microsecond.
+constexpr int kUnpolledRows = 6;
+
+/// count_seq for StExec leaves: a poll point (§4.1) at every node more
+/// than kUnpolledRows rows above the leaves, so thieves are served during
+/// a long leaf search.
+long count_polled(int n, int rows_left, std::uint32_t cols, std::uint32_t diag1,
+                  std::uint32_t diag2) {
+  if (rows_left <= kUnpolledRows) return count_seq(n, cols, diag1, diag2);
+  st::poll();
+  long found = 0;
+  std::uint32_t free_slots = ~(cols | diag1 | diag2) & ((1u << n) - 1);
+  while (free_slots != 0) {
+    const std::uint32_t bit = free_slots & (0u - free_slots);
+    free_slots ^= bit;
+    found += count_polled(n, rows_left - 1, cols | bit, (diag1 | bit) << 1,
+                          (diag2 | bit) >> 1);
   }
   return found;
 }
@@ -45,8 +70,11 @@ long run(int n) {
   }
   Exec::par_for(0, starts.size(), 1, [&](std::size_t lo, std::size_t hi) {
     for (std::size_t i = lo; i < hi; ++i) {
-      total.fetch_add(count_seq(n, starts[i].cols, starts[i].d1, starts[i].d2),
-                      std::memory_order_relaxed);
+      const Start& s = starts[i];
+      const long found = std::is_same_v<Exec, StExec>
+                             ? count_polled(n, n - 2, s.cols, s.d1, s.d2)
+                             : count_seq(n, s.cols, s.d1, s.d2);
+      total.fetch_add(found, std::memory_order_relaxed);
     }
   });
   return total.load();

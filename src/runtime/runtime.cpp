@@ -131,12 +131,11 @@ inline void record_resume_latency(Worker* w, Continuation* c) noexcept {
   }
 }
 
-/// Entry point of every forked computation (reached through st_ctx_boot).
-void child_entry(void* raw_msg, void* arg) {
-  run_switch_msg(static_cast<SwitchMsg*>(raw_msg));
-  auto* s = static_cast<Stacklet*>(arg);
-  s->invoke(s->closure);
-  // Completed.  tl_worker is re-read: the computation may have migrated.
+/// A task's exit, in a frame of its own: the task may have migrated while
+/// it ran, and compilers treat the thread pointer as constant within a
+/// function, so a frame that read tl_worker before the move may reuse the
+/// old thread's TLS address.  Here tl_worker is read afresh.
+[[noreturn]] [[gnu::noinline]] void finish_task(Stacklet* s) {
   Worker* w = tl_worker;
   w->stats().tasks_completed.add();
   w->trace(stu::kTraceTaskComplete, reinterpret_cast<std::uintptr_t>(s));
@@ -145,6 +144,27 @@ void child_entry(void* raw_msg, void* arg) {
   // unreusable until the release actually runs).
   SwitchMsg release{&release_stacklet_cb, s};
   detail::finish_current(&release);
+}
+
+/// Entry point of every forked computation (entered by st_ctx_fork) and
+/// injected root (through st_ctx_boot).  A forked child is where the fork point polls:
+/// its parent is already the fork-deque head with `sp` written by
+/// st_ctx_fork, so a steal request posted during the previous leaf is
+/// served the parent instead of being rejected against an empty deque,
+/// and thieves parked meanwhile are woken.  A root needs no poll (the
+/// scheduler loop just polled) and its stacklet was traced when carved.
+template <bool kForked>
+void child_entry(void* raw_msg, void* arg) {
+  auto* s = static_cast<Stacklet*>(arg);
+  if constexpr (kForked) {
+    // st_ctx_fork enters with no message.
+    Worker* w = tl_worker;
+    if (w->poll_word() != 0) [[unlikely]] w->fork_poll_slow(s);
+  } else {
+    run_switch_msg(static_cast<SwitchMsg*>(raw_msg));
+  }
+  s->invoke(s->closure);
+  finish_task(s);
 }
 
 }  // namespace
@@ -181,12 +201,14 @@ namespace detail {
 void fork_impl(void (*invoke)(void*), void* closure, Stacklet* s) {
   Worker* w = tl_worker;
   // The paper's "a fork costs about a procedure call": two single-writer
-  // increments, one relaxed load of the poll word, one predictable
-  // branch.  Everything observable from outside -- steal service, trace
-  // events, heartbeat publication, futex pokes -- hides behind the word.
+  // increments here, and on the child side one relaxed load of the poll
+  // word and one predictable branch.  Everything observable from outside
+  // -- steal service, trace events, heartbeat publication, futex pokes --
+  // hides behind the word.  The poll runs in the child (child_entry),
+  // after the parent is pushed and exported, so a pending request can be
+  // served this very parent.
   w->stats().forks.add();
   w->heartbeat();
-  if (w->poll_word() != 0) [[unlikely]] w->fork_poll_slow(s);
   s->invoke = invoke;
   s->closure = closure;
   Continuation parent;  // this worker's deques never outlive this frame's liveness
@@ -201,7 +223,7 @@ void fork_impl(void (*invoke)(void*), void* closure, Stacklet* s) {
   __tsan_switch_to_fiber(__tsan_create_fiber(0), 0);
 #endif
   auto* back = static_cast<SwitchMsg*>(
-      st_ctx_fork(&parent.sp, child_top, &child_entry, s));
+      st_ctx_fork(&parent.sp, child_top, &child_entry<true>, s));
   // Resumed: the child finished or suspended on this worker, or this
   // continuation was stolen and now runs on a thief.  Do not touch `w`.
   run_switch_msg(back);
@@ -296,7 +318,10 @@ void restart(Continuation* c) {
   run_switch_msg(back);
 }
 
-void poll() {
+// Aligned so the no-request path (TLS load, heartbeat bump, poll-word
+// load, two branches) lies in one 32-byte fetch window wherever the
+// linker places it; straddling two cost ~0.7 ns per call.
+[[gnu::aligned(32)]] void poll() {
   Worker* w = tl_worker;
   if (w != nullptr) w->serve_steal_request();
 }
@@ -527,7 +552,6 @@ bool Worker::try_steal_and_run() {
   // victim classifies identically to the recorded run.
   const unsigned vdom = rt_.domain_of(victim->id());
   local = vdom == domain_;
-  stats_.steal_attempts.add();
   set_phase(WorkerPhase::kStealing);
   const bool timed = stu::metrics_enabled();
   const std::uint64_t t0 = timed ? stu::trace_clock() : 0;
@@ -544,8 +568,14 @@ bool Worker::try_steal_and_run() {
                         ? StealRequest::kMaxBatch
                         : static_cast<std::uint32_t>(b);
   }
+  // Read the port before claiming it: thieves converging on the most
+  // loaded victim then share its line instead of bouncing it with
+  // failing CASes.  Only a claimed port counts as a steal attempt; each
+  // attempt resolves as exactly one of received, rejected or cancelled.
   StealRequest* expected = nullptr;
-  if (!victim->port().compare_exchange_strong(expected, &req, std::memory_order_acq_rel)) {
+  if (victim->port().load(std::memory_order_relaxed) != nullptr ||
+      !victim->port().compare_exchange_strong(expected, &req, std::memory_order_acq_rel)) {
+    stats_.steals_port_busy.add();
     if (have_outcome) {
       stu::sched_note_divergence(stu::kSchedStealResult,
                                  static_cast<std::uint16_t>(id_),
@@ -557,6 +587,7 @@ bool Worker::try_steal_and_run() {
     set_phase(WorkerPhase::kIdle);
     return false;  // someone else is already negotiating with this victim
   }
+  stats_.steal_attempts.add();
   // Port claimed: raise the victim's poll bit (after the CAS, so a victim
   // that clears the bit concurrently re-observes the request next poll).
   hb::access(victim, stu::kSchedAccessAtomic, hb::kSitePollWord);
@@ -774,7 +805,7 @@ void Worker::scheduler_loop() {
       static_assert(sizeof(Root) <= Stacklet::kClosureBytes);
       s->closure = new (s->closure_area()) Root(std::move(root));
       s->invoke = &detail::invoke_closure<Root>;
-      void* sp = st_ctx_prepare(s->stack_base(), s->stack_bytes(), &child_entry, s);
+      void* sp = st_ctx_prepare(s->stack_base(), s->stack_bytes(), &child_entry<false>, s);
       Continuation root_ctx{sp};
 #if ST_TSAN_FIBERS
       root_ctx.fiber = __tsan_create_fiber(0);
@@ -796,7 +827,10 @@ void Worker::scheduler_loop() {
   // victim.
   publish_sample();
   StealRequest* r = port_.exchange(nullptr, std::memory_order_acq_rel);
-  if (r != nullptr) r->state.store(StealRequest::kRejected, std::memory_order_release);
+  if (r != nullptr) {
+    stats_.steals_rejected.add();
+    r->state.store(StealRequest::kRejected, std::memory_order_release);
+  }
   tl_worker = nullptr;
 }
 

@@ -19,7 +19,9 @@
 //   st::restart(c)        ~ restart(c): immediate -- the caller becomes
 //                           c's parent and c runs now (Figure 7/8).
 //   st::poll()            ~ the manually inserted polling of Section 4.1
-//                           (Feeley-style); also run at every fork point.
+//                           (Feeley-style).  Every fork also polls, on
+//                           the child side once the parent continuation
+//                           is exported, so a pending request gets it.
 //
 // Migration (Figure 9/10) follows from these: an idle worker posts a
 // request; the victim's poll hands over the tail of its lazy task queue
@@ -319,8 +321,9 @@ void resume(Continuation* c);
 void restart(Continuation* c);
 
 /// Serve pending steal requests.  Called automatically at every fork
-/// point; insert manually into long fork-free stretches (the paper
-/// inserts polls following Feeley's scheme).
+/// point (by the child, after the parent is stealable); insert manually
+/// into long fork-free stretches (the paper inserts polls following
+/// Feeley's scheme).
 void poll();
 
 /// True when the calling OS thread is a worker.

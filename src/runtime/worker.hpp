@@ -119,9 +119,10 @@ class IoPoller {
   W(resumes, resumes)                                                  \
   W(steals_served, steals_served)                                      \
   W(steals_received, steals_received)                                  \
-  W(steal_attempts, steal_attempts)                                    \
+  W(steal_attempts, steal_attempts) /* requests posted to a port */   \
   W(steals_rejected, steals_rejected)                                  \
   W(steals_cancelled, steals_cancelled)                                \
+  W(steals_port_busy, steals_port_busy) /* victim port already taken */ \
   W(steals_local, steal_local)   /* received from this worker's domain */ \
   W(steals_remote, steal_remote) /* received from another domain */   \
   W(steal_tasks, steal_tasks)    /* continuations incl. batch extras */ \
@@ -211,8 +212,10 @@ class alignas(stu::kCacheLine) Worker {
   /// thieves, refresh the features bit.
   void poll_slow() noexcept;
 
-  /// Fork-point slow path: poll_slow plus the per-fork trace/metrics work
-  /// (stacklet-alloc + fork events) that only runs when a feature is on.
+  /// Fork-point slow path, run by a forked child before its body (the
+  /// parent is already the fork-deque head): poll_slow plus the per-fork
+  /// trace/metrics work (stacklet-alloc + fork events) that only runs
+  /// when a feature is on.
   void fork_poll_slow(Stacklet* s) noexcept;
 
   /// Serve at most one pending steal request (the paper's

@@ -298,6 +298,7 @@ TEST(IoReactor, LoopbackEchoManyConnections) {
       {"steal_attempts", &S::steal_attempts},
       {"steals_rejected", &S::steals_rejected},
       {"steals_cancelled", &S::steals_cancelled},
+      {"steals_port_busy", &S::steals_port_busy},
       {"steal_local", &S::steals_local},
       {"steal_remote", &S::steals_remote},
       {"steal_tasks", &S::steal_tasks},

@@ -6,7 +6,9 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
 #include <cstdint>
+#include <thread>
 #include <vector>
 
 #include "sync/join_counter.hpp"
@@ -247,6 +249,102 @@ TEST(RuntimeCore, MigrationHappensUnderMultipleWorkers) {
     long result = 0;
     rt.run([&] { result = pfib(22); });
     ASSERT_EQ(result, 17711);
+  }
+  EXPECT_GT(rt.stats().steal_attempts, 0u);
+}
+
+TEST(RuntimeCore, ForkServesRequestPostedWhileDequeWasEmpty) {
+  // A thief reads a stale nonzero depth (a finished child's pop does not
+  // republish it) and posts while the root's deque is empty.  The root
+  // then forks a leaf that never polls.  The fork point must serve the
+  // request the root's own continuation -- the only code that lets the
+  // leaf end; rejecting it against the empty deque leaves the leaf
+  // spinning until its deadline.
+  st::RuntimeConfig cfg;
+  cfg.workers = 2;
+  cfg.park = 0;  // the thief spins and yields; no park timeout in the way
+  st::Runtime rt(cfg);
+  using Clock = std::chrono::steady_clock;
+  constexpr auto kLimit = std::chrono::seconds(10);
+  std::atomic<bool> parent_ran{false};
+  bool pending_at_fork = false, leaf_timed_out = false;
+  unsigned forker = 0, parent_on = 0;
+  rt.run([&] {
+    for (int attempt = 0; attempt < 100 && !pending_at_fork; ++attempt) {
+      // A trivial child publishes depth 1; once it returns, the deque is
+      // empty and the advertisement is stale.  Repeat if the continuation
+      // was stolen meanwhile and now runs on a worker advertising nothing.
+      do {
+        st::fork([] {});
+      } while (rt.published_load(st::worker_id()) == 0);
+      forker = st::worker_id();
+      // Wait for a fresh post and its poll bit (raised just after the port
+      // is claimed).  No poll in these loops: the deque stays empty.
+      st::Worker& self = rt.worker(forker);
+      const auto post_deadline = Clock::now() + kLimit;
+      while (self.port().load(std::memory_order_acquire) != nullptr) {
+        if (Clock::now() > post_deadline) return;
+      }
+      while (self.port().load(std::memory_order_acquire) == nullptr ||
+             (self.poll_word() & st::Worker::kPollSteal) == 0) {
+        if (Clock::now() > post_deadline) return;
+      }
+      const std::uint64_t served = self.stats().steals_served.get();
+      const std::uint64_t rejected = self.stats().steals_rejected.get();
+      parent_ran.store(false, std::memory_order_relaxed);
+      st::JoinCounter jc(1);
+      st::fork([&] {
+        // A thief whose spin limit ran out before the fork polled has
+        // withdrawn: nothing was pending at the fork, so try again.
+        if (self.stats().steals_served.get() == served &&
+            self.stats().steals_rejected.get() == rejected) {
+          jc.finish();
+          return;
+        }
+        pending_at_fork = true;
+        const auto leaf_deadline = Clock::now() + kLimit;
+        while (!parent_ran.load(std::memory_order_acquire)) {
+          if (Clock::now() > leaf_deadline) {
+            leaf_timed_out = true;
+            break;
+          }
+        }
+        jc.finish();
+      });
+      parent_on = st::worker_id();
+      parent_ran.store(true, std::memory_order_release);
+      jc.join();
+    }
+  });
+  ASSERT_TRUE(pending_at_fork) << "no request was still pending at the fork";
+  EXPECT_FALSE(leaf_timed_out) << "the request was not served the parent";
+  EXPECT_NE(parent_on, forker);
+}
+
+TEST(RuntimeCore, EveryStealAttemptResolvesOnce) {
+  // A steal attempt is a request posted to a claimed port; it ends as
+  // exactly one of received (served), rejected or cancelled.  A thief
+  // that found the port busy made no attempt.
+  st::RuntimeConfig cfg;
+  cfg.workers = 4;
+  cfg.park = 1;
+  st::Runtime rt(cfg);
+  for (int round = 0; round < 20 || (round < 400 && rt.stats().steal_attempts == 0);
+       ++round) {
+    long result = 0;
+    rt.run([&] { result = pfib(15); });
+    ASSERT_EQ(result, 610);
+    // Once every worker is parked at the same time, no negotiation is in
+    // flight, and with nothing advertised none starts.
+    const auto deadline = std::chrono::steady_clock::now() + std::chrono::seconds(10);
+    while (rt.parked_workers() != rt.num_workers()) {
+      ASSERT_LT(std::chrono::steady_clock::now(), deadline) << "workers never all parked";
+      std::this_thread::yield();
+    }
+    const st::RuntimeStats s = rt.stats();
+    ASSERT_EQ(s.steal_attempts, s.steals_received + s.steals_rejected + s.steals_cancelled)
+        << "round " << round;
+    ASSERT_EQ(s.steals_served, s.steals_received) << "round " << round;
   }
   EXPECT_GT(rt.stats().steal_attempts, 0u);
 }
